@@ -15,9 +15,13 @@
 //     kv::ShardedStore::version() captured *before* the underlying
 //     lookup, so a cached value — including a cached negative — can
 //     never survive a later write phase: stale reads are impossible.
-//   * Thread-safe: the machine's worker threads share one cache; the
-//     key space is split over internal lock shards (concurrency only —
-//     nothing to do with the DHT's machine sharding).
+//   * Thread-safe: the machine's workers share one cache. A
+//     sim::Cluster map phase runs them one after another in worker
+//     order inside one host task, so every hit, miss and eviction
+//     follows one schedule-independent access order; the locks keep
+//     the cache safe for any other concurrent caller. The key space is
+//     split over internal lock shards (concurrency only — nothing to do
+//     with the DHT's machine sharding).
 //
 // Two uses share this type. MachineContext::Lookup/LookupMany consult a
 // per-(store, machine) QueryCache<const V*> read-through instance

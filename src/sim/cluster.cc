@@ -807,39 +807,46 @@ void Cluster::RunMapPhaseImpl(
       explicit_items ? static_cast<int64_t>(items.size()) : key_space;
 
   // Bucket items by owning machine (the machine holding record i of a
-  // capacity-key_space store under the configured placement).
-  std::vector<std::atomic<int64_t>> machine_sizes(num_machines);
-  for (auto& s : machine_sizes) s.store(0, std::memory_order_relaxed);
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    std::vector<int64_t> local(num_machines, 0);
-    for (int64_t i = lo; i < hi; ++i) {
+  // capacity-key_space store under the configured placement) with a
+  // stable counting sort: per-chunk histograms, prefix offsets per
+  // (machine, chunk), then per-chunk cursors. Each machine's items keep
+  // their input order, so every worker's slice is a pure function of
+  // the input, never of which pool thread reached a chunk first.
+  const std::vector<IndexChunk> chunks =
+      SplitIndexChunks(0, n, 4096, DefaultChunksForPool(*pool_));
+  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
+  // cursors[c * num_machines + m]: chunk c's item count for machine m,
+  // then (after the prefix pass) chunk c's first slot in m's bucket.
+  std::vector<int64_t> cursors(num_chunks * num_machines, 0);
+  ParallelForEachChunk(*pool_, chunks, [&](int64_t c) {
+    int64_t* local = cursors.data() + c * num_machines;
+    for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
       const int64_t item = explicit_items ? items[i] : i;
       ++local[MachineOf(item, key_space)];
     }
-    for (int m = 0; m < num_machines; ++m) {
-      if (local[m] != 0) {
-        machine_sizes[m].fetch_add(local[m], std::memory_order_relaxed);
-      }
-    }
   });
   std::vector<int64_t> offsets(num_machines + 1, 0);
+  int64_t next = 0;
   for (int m = 0; m < num_machines; ++m) {
-    offsets[m + 1] = offsets[m] + machine_sizes[m].load();
+    offsets[m] = next;
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      int64_t& slot = cursors[c * num_machines + m];
+      const int64_t count = slot;
+      slot = next;
+      next += count;
+    }
   }
+  offsets[num_machines] = next;
   std::vector<int64_t> buckets(n);
-  std::vector<std::atomic<int64_t>> cursors(num_machines);
-  for (int m = 0; m < num_machines; ++m) {
-    cursors[m].store(offsets[m], std::memory_order_relaxed);
-  }
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
+  ParallelForEachChunk(*pool_, chunks, [&](int64_t c) {
+    int64_t* cursor = cursors.data() + c * num_machines;
+    for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
       const int64_t item = explicit_items ? items[i] : i;
-      const int m = MachineOf(item, key_space);
-      buckets[cursors[m].fetch_add(1, std::memory_order_relaxed)] = item;
+      buckets[cursor[MachineOf(item, key_space)]++] = item;
     }
   });
 
-  // Execute: each machine's slice split over its worker threads. With
+  // Execute: each machine's share split into per-worker slices. With
   // the frontier engine active, a machine share too small to feed
   // every worker is regrouped into min_worker_grain-sized chunks
   // instead of span/workers slivers: a tiny sparse round then issues a
@@ -851,14 +858,8 @@ void Cluster::RunMapPhaseImpl(
   const bool regroup_small =
       config_.frontier.mode != FrontierMode::kSparse &&
       config_.frontier.min_worker_grain > 0;
-  struct WorkerSlice {
-    int machine;
-    int worker;
-    int64_t lo;
-    int64_t hi;
-  };
-  std::vector<WorkerSlice> slices;
-  slices.reserve(static_cast<size_t>(num_machines) * workers);
+  // worker_slices[m][w]: worker w's range of machine m's bucket.
+  std::vector<std::vector<IndexChunk>> worker_slices(num_machines);
   for (int m = 0; m < num_machines; ++m) {
     const int64_t begin = offsets[m];
     const int64_t end = offsets[m + 1];
@@ -866,54 +867,45 @@ void Cluster::RunMapPhaseImpl(
     if (regroup_small &&
         span < static_cast<int64_t>(workers) *
                    config_.frontier.min_worker_grain) {
-      const std::vector<IndexChunk> chunks = SplitIndexChunks(
+      worker_slices[m] = SplitIndexChunks(
           begin, end, config_.frontier.min_worker_grain, workers);
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        slices.push_back(WorkerSlice{m, static_cast<int>(c),
-                                     chunks[c].begin, chunks[c].end});
-      }
     } else {
       for (int w = 0; w < workers; ++w) {
-        slices.push_back(WorkerSlice{m, w, begin + span * w / workers,
-                                     begin + span * (w + 1) / workers});
+        worker_slices[m].push_back(
+            IndexChunk{begin + span * w / workers,
+                       begin + span * (w + 1) / workers});
       }
     }
   }
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining;
-  };
-  Latch latch;
-  latch.remaining = static_cast<int>(slices.size());
-  for (const WorkerSlice& slice : slices) {
-    const int m = slice.machine;
-    const int w = slice.worker;
-    const int64_t lo = slice.lo;
-    const int64_t hi = slice.hi;
-    pool_->Schedule([&, m, w, lo, hi] {
-      {
-        // Scoped so the context's destructor — which settles any
-        // deferred pipeline trips and folds the worker's in-flight
-        // watermark into the counters — runs before the latch
-        // releases the settle.
-        MachineContext ctx(
-            this, &counters, m, w,
-            Hash64(HashCombine(Hash64(m, config_.seed), w),
-                   HashCombine(config_.seed,
-                               std::hash<std::string>{}(phase))));
-        slice_fn(std::span<const int64_t>(buckets.data() + lo, hi - lo),
-                 ctx);
-        counters[m].items.fetch_add(hi - lo, std::memory_order_relaxed);
-      }
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(latch.mu);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  }
+  // Each logical machine runs inside one host task, its worker slices
+  // one after another in worker order. A machine's workers share its
+  // caches (each store's read-through QueryCache and the derived-fact
+  // MachineCaches), so whether a lookup hits depends on which worker
+  // reached the key first; run concurrently, that thread race would
+  // move trips, straggler and hedge draws, and the sim clock (and with
+  // it every later kill). In worker order the cost model is a pure
+  // function of (input, seed, config) at any host core count. Host
+  // parallelism stays across machines; the workers' overlap is a term
+  // of the cost model (SettleMapPhase), not host concurrency.
+  ParallelFor(*pool_, 0, num_machines, 1, [&](int64_t machine) {
+    const int m = static_cast<int>(machine);
+    const std::vector<IndexChunk>& slices = worker_slices[m];
+    for (int w = 0; w < static_cast<int>(slices.size()); ++w) {
+      // Scoped so the context's destructor — which settles any
+      // deferred pipeline trips and folds the worker's in-flight
+      // watermark into the counters — runs before the next worker
+      // starts.
+      MachineContext ctx(
+          this, &counters, m, w,
+          Hash64(HashCombine(Hash64(m, config_.seed), w),
+                 HashCombine(config_.seed, std::hash<std::string>{}(phase))));
+      slice_fn(std::span<const int64_t>(buckets.data() + slices[w].begin,
+                                        slices[w].size()),
+               ctx);
+      counters[m].items.fetch_add(slices[w].size(),
+                                  std::memory_order_relaxed);
+    }
+  });
   SettleMapPhase(phase, counters, timer.Seconds(), pull);
   AutoTuneEndRound(tune_scope, key_space, n);
 }

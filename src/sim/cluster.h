@@ -1,8 +1,10 @@
 // The AMPC cluster simulator.
 //
 // Executes an AMPC (or MPC) computation's phases on a pool of logical
-// machines backed by real threads, while charging a simulated distributed
-// cost model. Two clocks are kept per phase:
+// machines backed by real threads — in a map phase each logical machine
+// runs inside one host task, its worker slices one after another in
+// worker order — while charging a simulated distributed cost model.
+// Two clocks are kept per phase:
 //
 //   wall:<phase>  real seconds spent on this multicore host, and
 //   sim:<phase>   modeled seconds in the paper's environment: per-machine
@@ -47,7 +49,10 @@
 //
 // The multithreading toggle (overlapping trips across a machine's worker
 // threads) completes the Figure-4 ablation grid. None of the toggles
-// ever changes a returned value — only the cost model.
+// ever changes a returned value — only the cost model. That overlap is
+// a term of the cost model, not host concurrency: because a machine's
+// workers share its caches and run in worker order, the charged cost is
+// a pure function of (input, seed, config) at any host core count.
 //
 // The cluster is elastic under injected churn (ClusterConfig::faults):
 // a seeded sim::FaultInjector kills machines mid-phase at a Poisson
@@ -99,9 +104,14 @@ struct ClusterConfig {
   /// Worker threads per machine used to overlap synchronous KV lookups
   /// (the multithreading optimization of Section 5.3). A scale
   /// parameter: outputs are bit-identical across thread counts, only
-  /// simulated overlap changes.
+  /// simulated overlap changes. Each worker gets its own slice of the
+  /// machine's items, its own lookup pipeline and context; the workers
+  /// of one machine run one after another in worker order on a single
+  /// host task, so host parallelism is across machines only.
   int threads_per_machine = 8;
-  /// Disables the multithreading optimization when false (Figure 4).
+  /// Disables the multithreading optimization when false (Figure 4):
+  /// the cost model no longer overlaps the workers' trips. Cost-only;
+  /// the worker slices and their execution order are unchanged.
   bool multithreading = true;
   /// Per-machine query-result caching (the Section 5.3 caching
   /// optimization, the largest single Figure-4 win). When enabled,
@@ -122,9 +132,12 @@ struct ClusterConfig {
     /// cache set minted by MakeMachineCaches). Cost-only: capacity
     /// never changes returned values, just the hit rate.
     int64_t capacity = 1 << 16;
-    /// Internal lock shards of each cache — a concurrency knob for the
-    /// machine's worker threads, unrelated to DHT placement. Cost- and
-    /// value-neutral; any value yields identical outputs and charges.
+    /// Internal lock shards of each cache, unrelated to DHT placement.
+    /// Value-neutral. Each shard is its own LRU of capacity /
+    /// lock_shards entries, so once a cache is full the value moves
+    /// which entries are evicted, and with them hits and charges. A
+    /// machine's workers run one after another in map phases, so the
+    /// shards relieve no lock contention there.
     int lock_shards = 8;
   };
   QueryCacheConfig query_cache;
@@ -480,7 +493,9 @@ class Cluster {
 
   /// Runs `fn(item, ctx)` for every item in [0, n), with items placement-
   /// partitioned onto machines and each machine's share processed by
-  /// `threads_per_machine` workers. Charges KV costs accumulated through
+  /// `threads_per_machine` workers (one after another, in worker order,
+  /// inside one host task; each machine's items keep their ascending
+  /// order). Charges KV costs accumulated through
   /// the MachineContext plus per-item CPU cost; lookup traffic is charged
   /// to the machine whose shard serves it. Counts one cheap round.
   void RunMapPhase(const std::string& phase, int64_t n,
@@ -746,7 +761,8 @@ class Cluster {
   // Shared executor behind RunMapPhase/RunBatchMapPhase/RunPullPhase:
   // partitions the work items (all of [0, key_space), or the explicit
   // `items` subset when `explicit_items` is set) onto machines by
-  // MachineOf(item, key_space), runs one slice per (machine, worker),
+  // MachineOf(item, key_space) with a stable counting sort, runs each
+  // machine's worker slices in worker order inside one host task,
   // settles. `pull` switches the settle onto the pull cost model.
   void RunMapPhaseImpl(
       const std::string& phase, int64_t key_space,

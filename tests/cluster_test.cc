@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -1346,6 +1348,85 @@ TEST(ClusterTest, HedgingRecoversStragglerTrips) {
   EXPECT_GT(hedged.hedged, 0);
   EXPECT_GT(hedged.wins, 0);
   EXPECT_LT(hedged.sim_sec, waited.sim_sec);
+}
+
+// --- Schedule independence -------------------------------------------
+// A machine's workers share its caches, so the cost model is a pure
+// function of (input, seed, config) only if each machine's workers run
+// one after another in worker order and each worker's slice does not
+// depend on the thread schedule. Both tests can only fail on a host
+// whose cluster pool has two or more threads; on a 1-core host the pool
+// has one thread, nothing runs concurrently, and they pass vacuously.
+
+TEST(ClusterTest, MachineWorkersRunOneAtATimeInWorkerOrder) {
+  ClusterConfig config = TestConfig();
+  config.threads_per_machine = 4;
+  Cluster cluster(config);
+  const int machines = config.num_machines;
+  std::vector<std::atomic<int>> in_flight(machines);
+  std::vector<std::atomic<int>> overlaps(machines);
+  for (int m = 0; m < machines; ++m) {
+    in_flight[m].store(0);
+    overlaps[m].store(0);
+  }
+  std::mutex mu;
+  std::vector<std::vector<int>> sequence(machines);
+  cluster.RunBatchMapPhase(
+      "order", 4096, [&](std::span<const int64_t>, MachineContext& ctx) {
+        const int m = ctx.machine_id();
+        if (in_flight[m].fetch_add(1) != 0) overlaps[m].fetch_add(1);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          sequence[m].push_back(ctx.worker_id());
+        }
+        // Widen the window in which a sibling worker would overlap.
+        for (int i = 0; i < 1000; ++i) std::this_thread::yield();
+        in_flight[m].fetch_sub(1);
+      });
+  for (int m = 0; m < machines; ++m) {
+    EXPECT_EQ(overlaps[m].load(), 0) << "machine " << m;
+    std::vector<int> expected(config.threads_per_machine);
+    for (int w = 0; w < config.threads_per_machine; ++w) expected[w] = w;
+    EXPECT_EQ(sequence[m], expected) << "machine " << m;
+  }
+}
+
+TEST(ClusterTest, MachineItemsReachWorkersInAscendingOrder) {
+  // Many 4096-item bucketing chunks: the scatter into per-machine
+  // buckets must be stable, so each machine's items arrive in the
+  // order of the work list whatever chunk finished first.
+  ClusterConfig config = TestConfig();
+  config.threads_per_machine = 4;
+  Cluster cluster(config);
+  const int machines = config.num_machines;
+  const int64_t key_space = 2 * 16 * 4096;
+  std::vector<int64_t> items;
+  for (int64_t v = 0; v < key_space; v += 2) items.push_back(v);
+  // slices[m][w]: worker w's share; each is written by exactly one
+  // context, so no lock is needed.
+  std::vector<std::vector<std::vector<int64_t>>> slices(
+      machines, std::vector<std::vector<int64_t>>(config.threads_per_machine));
+  cluster.RunBatchMapPhase(
+      "stable", key_space, items,
+      [&](std::span<const int64_t> share, MachineContext& ctx) {
+        slices[ctx.machine_id()][ctx.worker_id()].assign(share.begin(),
+                                                         share.end());
+      });
+  int64_t total = 0;
+  for (int m = 0; m < machines; ++m) {
+    std::vector<int64_t> seen;
+    for (const std::vector<int64_t>& share : slices[m]) {
+      seen.insert(seen.end(), share.begin(), share.end());
+    }
+    total += static_cast<int64_t>(seen.size());
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end())) << "machine " << m;
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+        << "machine " << m;
+    for (const int64_t v : seen) {
+      ASSERT_EQ(cluster.MachineOf(static_cast<uint64_t>(v), key_space), m) << v;
+    }
+  }
+  EXPECT_EQ(total, static_cast<int64_t>(items.size()));
 }
 
 }  // namespace
